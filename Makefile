@@ -35,6 +35,7 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestInline|FuzzAdaptiveSolve' ./internal/trisolve/
 
 # The CI fuzz smoke: coverage-guided exploration beyond the checked-in
 # seeds, one target at a time (go test allows one -fuzz per invocation).

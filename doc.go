@@ -54,8 +54,9 @@
 // load generator, the examples and the router's backend leg alike. See
 // the "Cluster serving" section of README.md.
 //
-// The implementation lives under internal/; see README.md for the package
-// map, DESIGN.md for the system inventory and per-experiment index, and
-// EXPERIMENTS.md for paper-vs-measured results. bench_test.go in this
-// directory regenerates every table and figure as Go benchmarks.
+// The implementation lives under internal/; see the "Package map",
+// "Executors" and "Adaptive planning" sections of README.md for the
+// package inventory, the execution strategies and how the planner picks
+// among them. bench_test.go in this directory regenerates every table
+// and figure as Go benchmarks.
 package doconsider

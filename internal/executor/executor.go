@@ -98,6 +98,11 @@ type Metrics struct {
 	Executed   int64 // loop bodies run
 	SpinChecks int64 // shared-array reads while busy-waiting (self-exec)
 	SpinWaits  int64 // dependences that were not ready on first check
+	// Inline marks a pass that ran on the caller's goroutine, in index
+	// order, in place of its parallel strategy because the process has
+	// fewer processors than the plan's P (see internal/trisolve); P is
+	// then 1.
+	Inline bool
 }
 
 // MustMetrics unwraps an Execute result for non-context entry points:

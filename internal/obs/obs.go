@@ -118,6 +118,10 @@ type Trace struct {
 	Batch   int32 // right-hand sides in this request
 	Fused   int32 // requests that shared the executor pass
 	Width   int32 // total right-hand sides in the pass
+	// Inline marks a pass of a planner-chosen parallel plan that ran
+	// inline because its P exceeds the process's processors; Strat still
+	// names the plan's strategy.
+	Inline bool
 
 	StratLen int32
 	Strat    [StrategyLen]byte

@@ -16,6 +16,18 @@
 // the pooled executor, and structures whose natural order already
 // respects the wavefronts run doacross.
 //
+// A decision is executed on the P workers the caller asked for, even
+// when the host has fewer processors. trisolve therefore runs every
+// pass of a planner-chosen parallel plan whose P exceeds GOMAXPROCS
+// (read when the plan is built) inline, in index order, on the
+// caller's goroutine: bit-identical, and the decision itself is
+// unchanged. Pinned strategies — an explicit kind or
+// DOCONSIDER_STRATEGY — always run as named. The rule and
+// CostModel.Parallelism know the same host fact: a calibrated model
+// prices the parallel candidates on min(P, Parallelism) processors,
+// and a parallel strategy it still picks at P > GOMAXPROCS runs inline
+// all the same.
+//
 // Decisions are deterministic for a fixed cost model. The host model is
 // calibrated once per machine by microbenchmark and persisted (see
 // Calibrate and ForHost); set DOCONSIDER_CALIBRATION=off to use the

@@ -272,6 +272,7 @@ func (s *Server) solveFrame(ctx context.Context, in []byte, st *reqState) ([]byt
 	}
 	st.tr.AttributeSubmit(info.PlanNs, st.bstats.RepairNs, info.ExecNs)
 	st.tr.SetInfo(l.N, q.k, info.Fused, info.Width, info.Strategy)
+	st.tr.Inline = info.Metrics.Inline
 	if creq.lc != nil {
 		st.lc.FillTrace(&st.tr)
 	}

@@ -37,8 +37,11 @@ type coalesceKey struct {
 type SolveInfo struct {
 	Fused    int    // requests that shared the executor pass (>= 1)
 	Width    int    // total right-hand sides in the pass
-	Strategy string // executor strategy the pass ran under (planner-chosen for "auto")
-	Metrics  executor.Metrics
+	Strategy string // executor strategy of the pass's plan (planner-chosen for "auto")
+	// Metrics.Inline marks a pass of a planner-chosen parallel plan that
+	// ran inline because its P exceeds the process's processors (see
+	// internal/trisolve); Strategy still names the plan's strategy.
+	Metrics executor.Metrics
 	// PlanNs/ExecNs are the pass's own latency split, measured on the
 	// pass goroutine: plan resolution (memo/cache lookup and, on a
 	// miss, the build) and the executor run itself. A traced request
@@ -109,6 +112,11 @@ type CoalesceStats struct {
 	Solo     uint64  `json:"solo"`      // requests that ran alone
 	Rate     float64 `json:"rate"`      // Fused / Requests
 	MaxFused uint64  `json:"max_fused"` // largest request count in one pass
+	// InlinePasses counts the passes of planner-chosen parallel plans
+	// that ran inline on the pass goroutine because their P exceeds the
+	// process's processors; the other passes ran on their plan's
+	// strategy.
+	InlinePasses uint64 `json:"inline_passes"`
 }
 
 // Coalescer fuses structurally identical solve requests into shared
@@ -148,6 +156,7 @@ type Coalescer struct {
 
 	requests *Counter
 	passes   *Counter
+	inlineC  *Counter
 	fusedC   *Counter
 	soloC    *Counter
 	widthH   *Histogram
@@ -180,6 +189,7 @@ func NewCoalescer(baseCtx context.Context, cache *trisolve.PlanCache, reg *Regis
 		running:  make(map[coalesceKey]int),
 		requests: reg.Counter("loops_coalesce_requests_total", "solve requests submitted to the coalescer", nil),
 		passes:   reg.Counter("loops_coalesce_passes_total", "fused executor passes run", nil),
+		inlineC:  reg.Counter("loops_coalesce_inline_passes_total", "passes of planner-chosen parallel plans run inline because their P exceeds GOMAXPROCS", nil),
 		fusedC:   reg.Counter("loops_coalesce_fused_requests_total", "requests that shared an executor pass", nil),
 		soloC:    reg.Counter("loops_coalesce_solo_requests_total", "requests that ran alone", nil),
 		widthH:   reg.Histogram("loops_coalesce_pass_width", "right-hand sides per executor pass", nil, WidthBuckets),
@@ -542,6 +552,9 @@ func (c *Coalescer) execute(ctx context.Context, key coalesceKey, members []*coR
 	}
 
 	c.passes.Inc()
+	if metrics.Inline {
+		c.inlineC.Inc()
+	}
 	c.widthH.Observe(float64(width))
 	if len(members) > 1 {
 		c.fusedC.Add(uint64(len(members)))
@@ -772,11 +785,12 @@ func (c *Coalescer) DrainCtx(ctx context.Context) error {
 // Stats returns a snapshot of the coalescer counters.
 func (c *Coalescer) Stats() CoalesceStats {
 	s := CoalesceStats{
-		Requests: c.requests.Value(),
-		Passes:   c.passes.Value(),
-		Fused:    c.fusedC.Value(),
-		Solo:     c.soloC.Value(),
-		MaxFused: uint64(c.maxFused.Value()),
+		Requests:     c.requests.Value(),
+		Passes:       c.passes.Value(),
+		InlinePasses: c.inlineC.Value(),
+		Fused:        c.fusedC.Value(),
+		Solo:         c.soloC.Value(),
+		MaxFused:     uint64(c.maxFused.Value()),
 	}
 	if s.Requests > 0 {
 		s.Rate = float64(s.Fused) / float64(s.Requests)

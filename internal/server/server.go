@@ -94,13 +94,18 @@ type TenantConfig struct {
 // calls it, so constructing a server from bad values fails loudly rather
 // than clamping.
 type Config struct {
-	Procs          int    // processors per plan (default 4)
+	// Procs is the width P a pass uses when the process has P
+	// processors (default 4). A planner-chosen parallel plan whose P
+	// exceeds GOMAXPROCS when it is built runs its passes inline on the
+	// pass goroutine instead; pinned kinds always run on P.
+	Procs          int
 	Kind           string // executor kind registry name, or "auto" (default) for adaptive planning
 	CacheCap       int    // plan-cache capacity in skeletons (default 16)
 	FactorCacheCap int    // factors resubmittable by fingerprint (default 32)
-	// HotFactorCap sizes the lock-striped hot-factor ring that serves
-	// warm binary-wire fp lookups without touching the allocating
-	// factor-cache handle path (default 8).
+	// HotFactorCap sizes the hot-factor ring that serves warm
+	// binary-wire fp lookups without touching the allocating
+	// factor-cache handle path (default 8). It is one ring, scanned
+	// under a single mutex.
 	HotFactorCap   int
 	MaxBatch       int           // max RHS per request (default 64)
 	DefaultTimeout time.Duration // per-request deadline when none given (default 30s)
@@ -834,6 +839,7 @@ func (s *Server) handleTrisolve(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.AttributeSubmit(info.PlanNs, bstats.RepairNs, info.ExecNs)
 	tr.SetInfo(l.N, len(bs), info.Fused, info.Width, info.Strategy)
+	tr.Inline = info.Metrics.Inline
 	if lc, ok := creq.lc.(*obs.LevelClock); ok {
 		lc.FillTrace(&tr)
 	}

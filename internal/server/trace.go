@@ -90,6 +90,9 @@ type TraceJSON struct {
 	// Levels carries per-wavefront-level executor milliseconds when this
 	// request was chosen for level sampling.
 	Levels []float64 `json:"levels_ms,omitempty"`
+	// Inline marks a request whose pass ran inline: its plan's parallel
+	// strategy (Strategy) asks for more processors than the process has.
+	Inline bool `json:"inline,omitempty"`
 }
 
 func traceJSON(tr *obs.Trace) TraceJSON {
@@ -104,6 +107,7 @@ func traceJSON(tr *obs.Trace) TraceJSON {
 		Fused:    int(tr.Fused),
 		Width:    int(tr.Width),
 		Strategy: tr.Strategy(),
+		Inline:   tr.Inline,
 		TotalMs:  float64(tr.TotalNs) / 1e6,
 		Stages:   make(map[string]float64, obs.NumStages),
 	}

@@ -171,7 +171,7 @@ func (p *Plan) SolveGroupCtx(ctx context.Context, group []BatchProblem) (executo
 	default:
 		body = BackwardGroupBody(group)
 	}
-	m, err := p.strat.Execute(ctx, p.Sched, p.Deps, body)
+	m, err := p.execute(ctx, body)
 	return p.rowMetrics(m, err), err
 }
 
@@ -210,6 +210,6 @@ func (p *Plan) SolveBatchCtx(ctx context.Context, xs, bs [][]float64) (executor.
 	default:
 		body = BackwardBatchBody(p.L, xs, bs)
 	}
-	m, err := p.strat.Execute(ctx, p.Sched, p.Deps, body)
+	m, err := p.execute(ctx, body)
 	return p.rowMetrics(m, err), err
 }

@@ -167,6 +167,7 @@ type planSkeleton struct {
 	decision *planner.Decision
 	strat    executor.Strategy
 	fused    *fusedExec
+	inline   bool         // passes run inline (see runsInline)
 	state    *delta.State // repair state; nil for non-global schedules
 	cleanup  func()       // removes the skeleton from the similarity index
 }
@@ -245,7 +246,8 @@ func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, erro
 			return nil, err
 		}
 		sk := &planSkeleton{deps: ins.deps, wf: ins.wf, sched: ins.sched,
-			kind: ins.kind, decision: ins.dec, strat: strat, fused: ins.fused}
+			kind: ins.kind, decision: ins.dec, strat: strat, fused: ins.fused,
+			inline: runsInline(ins.kind, ins.dec, ins.sched)}
 		if cfg.scheduler == GlobalSched {
 			// The repair state splices row-level structure, so a fused
 			// skeleton backs it with the row-level schedule the executor
@@ -275,6 +277,7 @@ func (pc *PlanCache) Get(t *sparse.CSR, lower bool, opts ...Option) (*Plan, erro
 		Decision: sk.decision,
 		strat:    sk.strat,
 		fused:    sk.fused,
+		inline:   sk.inline,
 		leased:   true,
 		release:  h.Release,
 	}
@@ -379,6 +382,7 @@ func (pc *PlanCache) tryRepair(t *sparse.CSR, lower bool, cfg planConfig, key pl
 		out.fused = fx
 		out.sched = fx.sched
 	}
+	out.inline = runsInline(out.kind, out.decision, out.sched)
 	pc.registerSim(key, t.N, out)
 	pc.countDelta(func(d *DeltaStats) {
 		d.Repairs++

@@ -1,6 +1,7 @@
 package trisolve
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -179,8 +180,11 @@ func assertBitIdentical(t *testing.T, got, want []float64, what string) {
 // lower/upper triangular factors and right-hand-side batches, the
 // planner-chosen execution (adaptive NewPlan, no pinned kind) is
 // bit-identical to the sequential reference solve — per solve and per
-// batch — and stays so under wavefront-respecting permutation round
-// trips built from internal/reorder.
+// batch, on a process with processors to spare (parallel passes run
+// on their strategy) and on one processor (they run inline) — and
+// stays so under
+// wavefront-respecting permutation round trips built from
+// internal/reorder.
 //
 // The seeds below are the checked-in deterministic corpus; `go test
 // -fuzz=FuzzAdaptiveSolve` explores beyond them in CI's fuzz smoke job.
@@ -200,18 +204,6 @@ func FuzzAdaptiveSolve(f *testing.F) {
 		l := randomTriangular(rng, n, nExtra, lower)
 		bs := randomRHS(rng, n, k)
 
-		// The machine-independent default model keeps failures
-		// reproducible across hosts; every strategy it can pick must
-		// produce bit-identical solutions anyway.
-		plan, err := NewPlan(l, lower, WithProcs(np), WithModel(planner.Default()))
-		if err != nil {
-			t.Fatalf("NewPlan: %v", err)
-		}
-		defer plan.Close()
-		if plan.Decision == nil {
-			t.Fatal("adaptive plan carries no decision")
-		}
-
 		want := make([][]float64, k)
 		for j := range bs {
 			want[j] = refSolve(t, l, lower, bs[j])
@@ -220,16 +212,51 @@ func FuzzAdaptiveSolve(f *testing.F) {
 			assertClose(t, want[j], seqSolve(t, l, lower, bs[j]), "sequential cross-check")
 		}
 		x := make([]float64, n)
-		for j := range bs {
-			plan.Solve(x, bs[j])
-			assertBitIdentical(t, x, want[j], "Solve")
-		}
-		xs := randomRHS(rng, n, k) // scratch, overwritten
-		if _, err := plan.SolveBatch(xs, bs); err != nil {
-			t.Fatalf("SolveBatch: %v", err)
-		}
-		for j := range xs {
-			assertBitIdentical(t, xs[j], want[j], "SolveBatch")
+		// The machine-independent default model keeps failures
+		// reproducible across hosts; every strategy it can pick must
+		// produce bit-identical solutions anyway. It runs most factors
+		// this small sequentially, so a second model with a negligible
+		// fixed pass cost makes the planner pick parallel strategies,
+		// whose passes run inline on a one-processor process.
+		cheapPass := planner.Default()
+		cheapPass.TPass = 1e-12
+		for _, model := range []struct {
+			name string
+			m    *planner.CostModel
+		}{{"default model", planner.Default()}, {"cheap-pass model", cheapPass}} {
+			for _, host := range []struct {
+				name  string
+				procs int
+			}{{"processors to spare", manyProcs}, {"one processor", 1}} {
+				what := model.name + ", " + host.name
+				setHostProcs(t, host.procs)
+				plan, err := NewPlan(l, lower, WithProcs(np), WithModel(model.m))
+				if err != nil {
+					t.Fatalf("NewPlan (%s): %v", what, err)
+				}
+				defer plan.Close()
+				if plan.Decision == nil {
+					t.Fatal("adaptive plan carries no decision")
+				}
+				wantInline := host.procs < np && plan.Kind != executor.Sequential && !plan.Decision.Pinned
+				for j := range bs {
+					m, err := plan.SolveCtx(context.Background(), x, bs[j])
+					if err != nil {
+						t.Fatalf("Solve (%s): %v", what, err)
+					}
+					if m.Inline != wantInline {
+						t.Fatalf("Solve (%s): Inline = %v, want %v", what, m.Inline, wantInline)
+					}
+					assertBitIdentical(t, x, want[j], "Solve ("+what+")")
+				}
+				xs := randomRHS(rng, n, k) // scratch, overwritten
+				if _, err := plan.SolveBatch(xs, bs); err != nil {
+					t.Fatalf("SolveBatch (%s): %v", what, err)
+				}
+				for j := range xs {
+					assertBitIdentical(t, xs[j], want[j], "SolveBatch ("+what+")")
+				}
+			}
 		}
 
 		// The supernodal executor is one of the planner's candidates;

@@ -101,7 +101,7 @@ func (s *BatchSolver) Solve(ctx context.Context, xs, bs [][]float64) (executor.M
 	}
 	s.mu.Lock()
 	s.xs, s.bs = xs, bs
-	m, err := s.p.strat.Execute(ctx, s.p.Sched, s.p.Deps, s.body)
+	m, err := s.p.execute(ctx, s.body)
 	s.xs, s.bs = nil, nil
 	s.mu.Unlock()
 	return s.p.rowMetrics(m, err), err
@@ -145,7 +145,7 @@ func (s *BatchSolver) SolveTimed(ctx context.Context, xs, bs [][]float64, clock 
 	}
 	s.clock = clock
 	s.xs, s.bs = xs, bs
-	m, err := s.p.strat.Execute(ctx, s.p.Sched, s.p.Deps, s.timed)
+	m, err := s.p.execute(ctx, s.timed)
 	s.xs, s.bs = nil, nil
 	s.clock = nil
 	s.mu.Unlock()

@@ -149,6 +149,9 @@ type Plan struct {
 	Decision *planner.Decision
 	strat    executor.Strategy
 	fused    *fusedExec
+	// inline runs every pass on the caller's goroutine in index order
+	// (see runsInline).
+	inline bool
 	// leased marks plans obtained from a PlanCache: the schedule and
 	// strategy are shared, so Close releases the lease (once) instead of
 	// closing the strategy.
@@ -454,7 +457,8 @@ func NewPlan(t *sparse.CSR, lower bool, opts ...Option) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{L: t, Lower: lower, Wf: ins.wf, Sched: ins.sched, Kind: ins.kind, Decision: ins.dec, strat: strat, fused: ins.fused}
+	p := &Plan{L: t, Lower: lower, Wf: ins.wf, Sched: ins.sched, Kind: ins.kind, Decision: ins.dec, strat: strat, fused: ins.fused,
+		inline: runsInline(ins.kind, ins.dec, ins.sched)}
 	if ins.fused != nil {
 		p.Deps = ins.fused.deps
 	} else {
@@ -473,7 +477,7 @@ func (p *Plan) Solve(x, b []float64) executor.Metrics {
 // SolveCtx is Solve with cancellation support: a cancelled context
 // releases every worker and returns ctx.Err().
 func (p *Plan) SolveCtx(ctx context.Context, x, b []float64) (executor.Metrics, error) {
-	m, err := p.strat.Execute(ctx, p.Sched, p.Deps, p.body(x, b))
+	m, err := p.execute(ctx, p.body(x, b))
 	return p.rowMetrics(m, err), err
 }
 
